@@ -52,28 +52,37 @@ FdbResult Engine::EvaluateOnFRep(
     const FRep& in, const std::vector<std::pair<AttrId, AttrId>>& eqs,
     const std::vector<ConstPred>& preds, AttrSet projection) {
   FdbResult res{FRep{FTree{}}, FPlan{}, 0.0, 0.0, {}, {}};
-
-  Timer opt_timer;
-  // Constant selections are cheapest and run first (§4); they do not change
-  // class structure, so the plan can be optimised on the input tree.
-  FPlanSearchResult search = OptimizeOnTree(in.tree(), eqs);
-  res.optimize_seconds = opt_timer.Seconds();
-
   FPlan full;
+
+  // Constant selections are cheapest and run first (§4). They can change
+  // the tree — sigma_{A=c} makes A's node constant and normalisation moves
+  // it — so the plan is searched on the selected tree, not the input's.
+  Timer select_timer;
+  FRep selected{FTree{}};
+  const FRep* base = &in;  // no copy of the input when nothing selects
   for (const ConstPred& p : preds) {
     full.steps.push_back(PlanStep::MakeSelectConst(p.attr, p.op, p.value));
+    selected = ExecuteStep(*base, full.steps.back());
+    base = &selected;
   }
-  full.steps.insert(full.steps.end(), search.plan.steps.begin(),
-                    search.plan.steps.end());
+  const double select_seconds = select_timer.Seconds();
+
+  Timer opt_timer;
+  FPlanSearchResult search = OptimizeOnTree(base->tree(), eqs);
+  res.optimize_seconds = opt_timer.Seconds();
+
+  FPlan rest;
+  rest.steps = search.plan.steps;
   if (!projection.Empty()) {
-    full.steps.push_back(PlanStep::MakeProject(projection));
+    rest.steps.push_back(PlanStep::MakeProject(projection));
   }
+  full.steps.insert(full.steps.end(), rest.steps.begin(), rest.steps.end());
   full.cost_max_s = search.plan.cost_max_s;
   full.result_s = search.plan.result_s;
 
   Timer eval_timer;
-  res.rep = ExecutePlan(in, full);
-  res.evaluate_seconds = eval_timer.Seconds();
+  res.rep = ExecutePlan(*base, rest);
+  res.evaluate_seconds = select_seconds + eval_timer.Seconds();
   res.plan = std::move(full);
   return res;
 }

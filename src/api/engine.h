@@ -109,8 +109,9 @@ class Engine {
 
   /// Factorised evaluation: f-plan optimisation + operator execution on an
   /// existing f-representation. `eqs` are the new equality selections;
-  /// constant predicates run first, projection last (if `projection` is
-  /// non-empty).
+  /// constant predicates run first and the f-plan is searched on the tree
+  /// they leave (an `=` selection makes its node constant, which moves it),
+  /// projection runs last (if `projection` is non-empty).
   FdbResult EvaluateOnFRep(const FRep& in,
                            const std::vector<std::pair<AttrId, AttrId>>& eqs,
                            const std::vector<ConstPred>& preds = {},

@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -75,9 +76,11 @@ double Histogram::Snapshot::Percentile(double p) const {
     const uint64_t prev = cum;
     cum += buckets[i];
     if (static_cast<double>(cum) >= rank) {
-      // Linear interpolation inside the bucket [lower, bounds[i]].
+      // Linear interpolation inside the bucket [lower, bounds[i]], whose
+      // top is the observed max when that lies inside it: no sample
+      // exceeds the max, so no quantile may either.
       const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double upper = bounds[i];
+      const double upper = std::min(bounds[i], std::max(lower, max_seconds));
       const double in_bucket = static_cast<double>(buckets[i]);
       if (in_bucket <= 0.0) return upper;
       const double frac = (rank - static_cast<double>(prev)) / in_bucket;

@@ -87,8 +87,9 @@ class Histogram {
     std::array<uint64_t, kNumBounds + 1> buckets{};  ///< last = +Inf
 
     /// Linear-interpolated quantile from the bucket counts; `p` in (0, 1].
-    /// Returns 0 for an empty histogram; ranks in the overflow bucket
-    /// return max_seconds.
+    /// Never exceeds max_seconds: the bucket holding the max interpolates
+    /// up to the max, not to its bound. Returns 0 for an empty histogram;
+    /// ranks in the overflow bucket return max_seconds.
     double Percentile(double p) const;
   };
 

@@ -54,6 +54,12 @@ void QueryTrace::SetRows(int index, uint64_t rows) {
   s.has_rows = true;
 }
 
+void QueryTrace::SetRowsIn(int index, uint64_t rows) {
+  Span& s = spans_[static_cast<size_t>(index)];
+  s.rows_in = rows;
+  s.has_rows_in = true;
+}
+
 void QueryTrace::SetBytes(int index, uint64_t bytes) {
   Span& s = spans_[static_cast<size_t>(index)];
   s.bytes = bytes;
@@ -75,6 +81,10 @@ std::string QueryTrace::Render() const {
     out += s.name;
     out += "  time=";
     out += FmtTraceTime(s.seconds);
+    if (s.has_rows_in) {
+      out += " rows_in=";
+      out += std::to_string(s.rows_in);
+    }
     if (s.has_rows) {
       out += " rows=";
       out += std::to_string(s.rows);

@@ -18,6 +18,9 @@
 //     kernel-compile       EnumKernel::Compile (first execution of a plan)
 //     morsel-plan          ParallelEnumerator planning (rows = morsels)
 //     enumerate            materialisation of the flat result (rows)
+//       sort               sort + dedup of a materialised stream that is
+//                          not already in order (rows_in, rows); absent
+//                          for every result the engine produces itself
 //
 // Tracing is opt-in per query: every traced function takes a
 // `QueryTrace* trace = nullptr` and a null trace makes Scope a no-op that
@@ -52,8 +55,10 @@ class QueryTrace {
     int depth = 0;          ///< 0 for roots (cached for rendering)
     double seconds = 0.0;   ///< wall time; filled when the span closes
     uint64_t rows = 0;      ///< output rows, when the phase has them
+    uint64_t rows_in = 0;   ///< input rows, for phases that drop rows
     uint64_t bytes = 0;     ///< rep size (FRep::MemoryBytes), when known
     bool has_rows = false;
+    bool has_rows_in = false;
     bool has_bytes = false;
   };
 
@@ -83,6 +88,9 @@ class QueryTrace {
     void SetRows(uint64_t rows) {
       if (trace_ != nullptr) trace_->SetRows(index_, rows);
     }
+    void SetRowsIn(uint64_t rows) {
+      if (trace_ != nullptr) trace_->SetRowsIn(index_, rows);
+    }
     void SetBytes(uint64_t bytes) {
       if (trace_ != nullptr) trace_->SetBytes(index_, bytes);
     }
@@ -105,6 +113,7 @@ class QueryTrace {
   void RecordSpan(std::string_view name, double seconds);
 
   void SetRows(int index, uint64_t rows);
+  void SetRowsIn(int index, uint64_t rows);
   void SetBytes(int index, uint64_t bytes);
 
   const std::vector<Span>& spans() const { return spans_; }
@@ -113,8 +122,9 @@ class QueryTrace {
   double TotalSeconds() const;
 
   /// Renders the span tree as the EXPLAIN ANALYZE body: one line per span,
-  /// two-space indentation per depth, `time=` plus optional `rows=` /
-  /// `bytes=` fields, a trailing total line. Every line ends with '\n'.
+  /// two-space indentation per depth, `time=` plus optional `rows_in=` /
+  /// `rows=` / `bytes=` fields, a trailing total line. Every line ends
+  /// with '\n'.
   std::string Render() const;
 
  private:

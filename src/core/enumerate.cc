@@ -48,6 +48,41 @@ std::vector<char> VisibleKeepMask(const FTree& t) {
   return keep;
 }
 
+std::vector<size_t> VisibleStreamOrder(const FTree& t) {
+  const std::vector<AttrId> schema = t.VisibleAttrs().ToVector();
+  if (schema.empty()) return {};
+  const std::vector<char> keep = VisibleKeepMask(t);
+  std::vector<size_t> order;
+  std::vector<char> used(schema.size(), 0);
+  for (const PreOrderFrame& f : BuildPreOrderFrames(t, &keep)) {
+    const AttrSet vis = t.node(f.node).visible;
+    if (vis.Empty()) return {};  // hidden ancestor: no order to claim
+    const size_t c = static_cast<size_t>(
+        std::lower_bound(schema.begin(), schema.end(), vis.Min()) -
+        schema.begin());
+    order.push_back(c);
+    used[c] = 1;
+  }
+  for (size_t c = 0; c < schema.size(); ++c) {
+    if (!used[c]) order.push_back(c);
+  }
+  return order;
+}
+
+void internal::FinishVisibleStream(const FTree& t, Relation* out,
+                                   QueryTrace* trace) {
+  if (out->arity() == 0) return;  // at most the one empty tuple
+  std::vector<size_t> order = VisibleStreamOrder(t);
+  if (!order.empty()) {
+    out->MarkSorted(std::move(order));
+    return;
+  }
+  QueryTrace::Scope span(trace, "sort");
+  span.SetRowsIn(out->size());
+  out->SortLex();  // relations are sets: sort + dedup
+  span.SetRows(out->size());
+}
+
 TupleEnumerator::TupleEnumerator(const FRep& rep, bool visible_only)
     : TupleEnumerator(rep, visible_only, {}) {}
 
@@ -155,7 +190,22 @@ bool TupleEnumerator::Next() {
   return false;
 }
 
-Relation internal::MaterializeVisibleSized(const FRep& rep, double est_rows) {
+Relation internal::MaterializeVisibleSized(const FRep& rep, double est_rows,
+                                           QueryTrace* trace) {
+  if (est_rows <= 0.0 && !rep.empty()) {
+    // The exact pre-dedup row count: the product over the kept root trees
+    // of their visible-restricted tuple counts (the CountTuples DP with
+    // invisible-only subtrees masked out).
+    std::vector<char> keep = VisibleKeepMask(rep.tree());
+    std::vector<double> counts = rep.SubtreeTupleCounts(&keep);
+    est_rows = 1.0;
+    const auto& roots = rep.tree().roots();
+    for (size_t i = 0; i < roots.size(); ++i) {
+      if (keep[static_cast<size_t>(roots[i])]) {
+        est_rows *= counts[rep.roots()[i]];
+      }
+    }
+  }
   std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
   Relation out(schema);
   // Reserve the pre-dedup row count up front; skip the reservation when
@@ -170,25 +220,12 @@ Relation internal::MaterializeVisibleSized(const FRep& rep, double est_rows) {
     for (size_t c = 0; c < schema.size(); ++c) tuple[c] = en.ValueOf(schema[c]);
     out.AddTuple(tuple);
   }
-  out.SortLex();  // relations are sets: sort + dedup
+  FinishVisibleStream(rep.tree(), &out, trace);
   return out;
 }
 
 Relation MaterializeVisible(const FRep& rep) {
-  double rows = -1.0;
-  if (!rep.empty()) {
-    // The exact pre-dedup row count: the product over the kept root trees
-    // of their visible-restricted tuple counts (the CountTuples DP with
-    // invisible-only subtrees masked out).
-    std::vector<char> keep = VisibleKeepMask(rep.tree());
-    std::vector<double> counts = rep.SubtreeTupleCounts(&keep);
-    rows = 1.0;
-    const auto& roots = rep.tree().roots();
-    for (size_t i = 0; i < roots.size(); ++i) {
-      if (keep[static_cast<size_t>(roots[i])]) rows *= counts[rep.roots()[i]];
-    }
-  }
-  return internal::MaterializeVisibleSized(rep, rows);
+  return internal::MaterializeVisibleSized(rep, -1.0);
 }
 
 }  // namespace fdb

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/trace.h"
 #include "core/frep.h"
 #include "storage/relation.h"
 
@@ -58,8 +59,14 @@ struct EntryBound {
 /// *visible* tuples can still arise from invisible nodes that have visible
 /// descendants (two values of the invisible node may lead to equal visible
 /// sub-tuples below — a data property no structural skip can detect);
-/// MaterializeVisible removes those by sort+dedup. In this mode only
-/// visible attributes of the current tuple are meaningful.
+/// MaterializeVisible removes those by sort+dedup. Without such nodes the
+/// stream is duplicate-free and sorted (VisibleStreamOrder). In this mode
+/// only visible attributes of the current tuple are meaningful.
+///
+/// Order: tuples stream in the lexicographic order of the frames' values,
+/// frames taken in f-tree pre-order (the first root's frames first), since
+/// the odometer advances the deepest frame and every union is strictly
+/// increasing.
 class TupleEnumerator {
  public:
   explicit TupleEnumerator(const FRep& rep, bool visible_only = false);
@@ -116,21 +123,49 @@ class TupleEnumerator {
   bool nullary_pending_ = false;
 };
 
+/// Row order of the visible_only stream of any representation over `t`,
+/// as a total column order over the visible schema (visible attributes in
+/// increasing id order). Per kept pre-order frame, the column of the
+/// smallest visible attribute of its class (the class's other visible
+/// columns repeat that value), then the remaining columns as tie-breakers.
+/// When every kept frame carries a visible attribute — no hidden node has
+/// a visible descendant, which Project guarantees for every result the
+/// engine produces — the visible tuple fixes every frame's entry, so the
+/// stream is strictly increasing under this order: sorted and
+/// duplicate-free without a sort. Returns the empty vector otherwise (a
+/// hidden ancestor: the stream may repeat visible tuples), and for an
+/// empty visible schema.
+std::vector<size_t> VisibleStreamOrder(const FTree& t);
+
 /// Materialises the visible part of `rep` as a relation with schema =
-/// visible attributes in increasing id order; rows sorted, duplicates
-/// removed. Enumerates with `visible_only`, so invisible-only subtrees do
-/// not blow up the intermediate stream, and reserves the output capacity
-/// from the restricted tuple count up front (no growth reallocations).
-/// For large representations the overload taking EnumerateOptions
-/// (core/parallel_enumerate.h) enumerates on multiple cores.
+/// visible attributes in increasing id order, duplicate-free, with rows in
+/// f-tree order: the enumeration order, recorded in the relation's
+/// sort_order() (VisibleStreamOrder). Only a representation with a hidden
+/// node above a visible one (deferred projection, never an engine result)
+/// is sorted and deduplicated instead, under ascending-column order.
+/// Callers that need ascending-column order call SortLex(), which costs
+/// nothing when the orders coincide. Enumerates with `visible_only`, so
+/// invisible-only subtrees do not blow up the intermediate stream, and
+/// reserves the output capacity from the restricted tuple count up front
+/// (no growth reallocations). For large representations the overload
+/// taking EnumerateOptions (core/parallel_enumerate.h) enumerates on
+/// multiple cores; every overload returns the same rows in the same order.
 Relation MaterializeVisible(const FRep& rep);
 
 namespace internal {
 
 /// Sequential MaterializeVisible sink with a pre-computed pre-dedup row
-/// count (<= 0: unknown, skip the reservation). Shared by the public
-/// overloads so each call sizes the stream with exactly one DP pass.
-Relation MaterializeVisibleSized(const FRep& rep, double est_rows);
+/// count (<= 0: unknown, counted here). Shared by the public overloads so
+/// each call sizes the stream with exactly one DP pass. A non-null `trace`
+/// records the fallback "sort" span (FinishVisibleStream).
+Relation MaterializeVisibleSized(const FRep& rep, double est_rows,
+                                 QueryTrace* trace = nullptr);
+
+/// The last step of every MaterializeVisible sink, given `out` holding the
+/// visible_only stream of a representation over `t` in stream order:
+/// records VisibleStreamOrder(t) as the sort order, or — when it is empty —
+/// sorts and deduplicates under a "sort" trace span (rows in and out).
+void FinishVisibleStream(const FTree& t, Relation* out, QueryTrace* trace);
 
 }  // namespace internal
 

@@ -27,9 +27,7 @@ namespace fdb {
 ///
 /// `rels[i]` is the relation with query-local index i (matching the
 /// `cover_rels` bits of the tree). `preds` are constant predicates applied
-/// while loading. Relations are copied, filtered and sorted internally;
-/// pass `presorted = true` when every relation is already sorted by its
-/// class path order (saves the copy, used by benchmarks that reuse inputs).
+/// while loading. Relations are copied, filtered and sorted internally.
 /// A non-null `trace` records a "ground" span carrying the result's
 /// MemoryBytes (common/trace.h).
 FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,

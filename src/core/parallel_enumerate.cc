@@ -237,23 +237,22 @@ void ParallelEnumerator::Enumerate(
 
 namespace {
 
-// Interpreted emission over a planned enumeration (the pre-PR-7 path and
-// the fallback for mismatching kernels).
-Relation EmitInterpreted(const FRep& rep, const ParallelEnumerator& pe) {
+// Interpreted emission over a planned enumeration (the fallback for
+// mismatching kernels).
+Relation EmitInterpreted(const FRep& rep, const ParallelEnumerator& pe,
+                         QueryTrace* trace) {
   if (pe.num_chunks() <= 1) {
     // Sequential fallback. When the constructor already sized the stream
     // (small result below the cutoff), hand the estimate over instead of
-    // letting the sequential overload re-run the DP.
-    return pe.plan().est_total > 0
-               ? internal::MaterializeVisibleSized(rep, pe.plan().est_total)
-               : MaterializeVisible(rep);
+    // letting the sequential sink re-run the DP.
+    return internal::MaterializeVisibleSized(rep, pe.plan().est_total, trace);
   }
 
   std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
   Relation out(schema);
   const size_t arity = schema.size();
   // Per-chunk value buffers, concatenated in chunk order below — the
-  // pre-sort stream is byte-identical to the sequential enumeration.
+  // stream is byte-identical to the sequential enumeration.
   std::vector<std::vector<Value>> chunks(pe.num_chunks());
   pe.Enumerate([&](size_t c, TupleEnumerator& en) {
     ExecContext* const ctx = ExecContext::Current();
@@ -271,24 +270,22 @@ Relation EmitInterpreted(const FRep& rep, const ParallelEnumerator& pe) {
   for (const std::vector<Value>& b : chunks) total_values += b.size();
   out.Reserve(arity > 0 ? total_values / arity : 0);
   for (const std::vector<Value>& b : chunks) out.AppendRows(b);
-  out.SortLex();  // relations are sets: sort + dedup
+  internal::FinishVisibleStream(rep.tree(), &out, trace);
   return out;
 }
 
 // Kernel-accelerated emission over a planned enumeration.
 Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
-                        const ParallelEnumerator& pe) {
+                        const ParallelEnumerator& pe, QueryTrace* trace) {
   const std::vector<AttrId>& schema = kernel.schema();
   Relation out(schema);
-  if (rep.empty()) return out;
   const size_t arity = schema.size();
-  if (arity == 0) {
+  if (rep.empty() || arity == 0) {
     // Fully-invisible (or nullary) stream: the kernel reports the single
     // collapsed row count without appending values.
     std::vector<Value> none;
-    const uint64_t rows = kernel.Emit(rep, {}, &none);
-    for (uint64_t r = 0; r < rows; ++r) out.AddTuple({});
-    out.SortLex();
+    if (!rep.empty() && kernel.Emit(rep, {}, &none) > 0) out.AddTuple({});
+    internal::FinishVisibleStream(rep.tree(), &out, trace);
     return out;
   }
   // One kernel run per morsel, restricted by the morsel's bound chain; the
@@ -311,7 +308,7 @@ Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
   out.AdoptRows(std::move(chunks[0]));
   out.Reserve(total_values / arity);
   for (size_t c = 1; c < chunks.size(); ++c) out.AppendRows(chunks[c]);
-  out.SortLex();  // relations are sets: sort + dedup
+  internal::FinishVisibleStream(rep.tree(), &out, trace);
   return out;
 }
 
@@ -319,7 +316,7 @@ Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
 
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts) {
   ParallelEnumerator pe(rep, opts, /*visible_only=*/true);
-  return EmitInterpreted(rep, pe);
+  return EmitInterpreted(rep, pe, nullptr);
 }
 
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
@@ -337,8 +334,8 @@ Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
     plan_span.SetRows(pe->num_chunks());
   }
   QueryTrace::Scope enum_span(trace, "enumerate");
-  Relation out =
-      use_kernel ? EmitWithKernel(rep, *kernel, *pe) : EmitInterpreted(rep, *pe);
+  Relation out = use_kernel ? EmitWithKernel(rep, *kernel, *pe, trace)
+                            : EmitInterpreted(rep, *pe, trace);
   enum_span.SetRows(out.size());
   return out;
 }

@@ -122,8 +122,9 @@ class ParallelEnumerator {
 };
 
 /// Parallel MaterializeVisible: identical output to the sequential
-/// overload in core/enumerate.h (same rows, same sort), enumerated on up
-/// to opts.threads cores for large representations.
+/// overload in core/enumerate.h (same rows in the same f-tree order, the
+/// same recorded sort_order()), enumerated on up to opts.threads cores for
+/// large representations.
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts);
 
 /// Kernel-accelerated MaterializeVisible: when `kernel` is a visible-mode
@@ -131,10 +132,12 @@ Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts);
 /// rows are emitted by one kernel run per morsel — extraction fused into
 /// emission — on up to opts.threads cores; otherwise rows come from the
 /// interpreted enumerator (null kernels are fine). Output is identical
-/// either way. A non-null `trace` records a "morsel-plan" span (rows =
-/// chunk count) and an "enumerate" span (rows = output rows), both opened
-/// on the calling thread around the whole fan-out — per-morsel work is
-/// aggregated, never one span per morsel (common/trace.h).
+/// either way: rows in f-tree order, recorded in sort_order(). A non-null
+/// `trace` records a "morsel-plan" span (rows = chunk count) and an
+/// "enumerate" span (rows = output rows), both opened on the calling
+/// thread around the whole fan-out — per-morsel work is aggregated, never
+/// one span per morsel (common/trace.h) — and, inside "enumerate", a
+/// "sort" span when a hidden ancestor forces the sort + dedup fallback.
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
                             const EnumKernel* kernel,
                             QueryTrace* trace = nullptr);

@@ -94,6 +94,7 @@ void Relation::SortByColumns(const std::vector<size_t>& cols) {
   for (size_t c = 0; c < k; ++c) {
     if (!used[c]) order.push_back(c);
   }
+  if (order == sort_order_) return;  // already sorted and duplicate-free
 
   // Narrow arities (every enumerated result in practice) take the
   // cache-friendly fixed-key sort; wider rows fall back to the generic
@@ -134,6 +135,31 @@ void Relation::SortByColumns(const std::vector<size_t>& cols) {
   }
   data_ = std::move(out);
   sort_order_ = order;
+}
+
+void Relation::MarkSorted(std::vector<size_t> order) {
+  const size_t k = arity();
+  FDB_CHECK_MSG(order.size() == k, "MarkSorted needs a total column order");
+#ifdef FDB_VALIDATE
+  std::vector<bool> used(k, false);
+  for (size_t c : order) {
+    FDB_CHECK_MSG(c < k && !used[c], "MarkSorted order is not a permutation");
+    used[c] = true;
+  }
+  for (size_t r = 1; r < size(); ++r) {
+    const Value* prev = data_.data() + (r - 1) * k;
+    const Value* cur = data_.data() + r * k;
+    bool less = false;
+    for (size_t c : order) {
+      if (prev[c] != cur[c]) {
+        less = prev[c] < cur[c];
+        break;
+      }
+    }
+    FDB_CHECK_MSG(less, "MarkSorted rows are not strictly increasing");
+  }
+#endif
+  sort_order_ = std::move(order);
 }
 
 void Relation::SortLex() {

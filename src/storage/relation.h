@@ -3,7 +3,11 @@
 // A relation is a row-major array of 64-bit values plus a schema of global
 // attribute ids. The engines (FDB grounding, RDB sort-merge) work on
 // relations sorted lexicographically under a chosen column order, mirroring
-// the paper's setup ("the relations are given sorted").
+// the paper's setup ("the relations are given sorted"). A relation records
+// the order its rows are in (sort_order()): materialised query results
+// arrive in f-tree order and say so, and a consumer that needs another
+// order sorts, paying nothing when the order is already the one it asks
+// for.
 #ifndef FDB_STORAGE_RELATION_H_
 #define FDB_STORAGE_RELATION_H_
 
@@ -60,13 +64,23 @@ class Relation {
 
   /// Sorts rows lexicographically by the given column positions (remaining
   /// columns are appended as tie-breakers so the order is total) and removes
-  /// exact duplicate rows (relations are sets).
+  /// exact duplicate rows (relations are sets). Returns at once when that
+  /// total order equals sort_order(): the rows are already in it.
   void SortByColumns(const std::vector<size_t>& cols);
 
   /// Sorts by columns 0,1,...,arity-1.
   void SortLex();
 
-  /// The column order of the last SortByColumns call (empty if unsorted).
+  /// Records that the rows are sorted under the total column order `order`
+  /// (a permutation of all columns) and duplicate-free, without sorting:
+  /// for producers that emit rows in a known order, such as the
+  /// materialisation sinks (core/enumerate.h). Under FDB_VALIDATE the claim
+  /// is checked row by row.
+  void MarkSorted(std::vector<size_t> order);
+
+  /// The total column order the rows are sorted under, duplicate-free; set
+  /// by SortByColumns and MarkSorted, cleared by every append (empty:
+  /// unknown order).
   const std::vector<size_t>& sort_order() const { return sort_order_; }
 
   /// First row index in [lo, hi) whose value in column `col` is >= v.

@@ -356,6 +356,142 @@ TEST(Kernel, EngineMaterializeResultKernel) {
               engine.MaterializeResult(res));
 }
 
+// ---------------------------------------------------------------------------
+// The materialisation contract: rows in f-tree order, recorded in
+// sort_order(), identical across every sink.
+// ---------------------------------------------------------------------------
+
+// `rows` over `schema` as a sorted, deduplicated relation.
+Relation Reference(std::vector<AttrId> schema,
+                   const std::vector<std::vector<Value>>& rows) {
+  Relation r(std::move(schema));
+  for (const std::vector<Value>& t : rows) r.AddTuple(t);
+  r.SortLex();
+  return r;
+}
+
+// Every sink — sequential, interpreted and kernel at 1, 2 and 8 threads —
+// must return rows that are duplicate-free, strictly increasing under
+// their recorded sort_order(), equal to `reference` as a set, and
+// byte-identical (rows and order) to each other. The recorded order is
+// the f-tree stream order unless a hidden node sits above a visible one
+// (`hidden_ancestor`), where the sink falls back to sort + dedup.
+void CheckSinkContract(const FRep& rep, const Relation& reference,
+                       bool hidden_ancestor) {
+  const std::vector<size_t> stream = VisibleStreamOrder(rep.tree());
+  const bool nullary = reference.arity() == 0;
+  EXPECT_EQ(stream.empty(), hidden_ancestor || nullary);
+  const Relation seq = MaterializeVisible(rep);
+  if (nullary) {
+    EXPECT_TRUE(seq.sort_order().empty());
+  } else if (hidden_ancestor) {
+    std::vector<size_t> lex(seq.arity());
+    for (size_t c = 0; c < lex.size(); ++c) lex[c] = c;
+    EXPECT_EQ(seq.sort_order(), lex);
+  } else {
+    EXPECT_EQ(seq.sort_order(), stream);
+  }
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), /*visible_only=*/true);
+  std::vector<Relation> outs = {seq};
+  for (int threads : {1, 2, 8}) {
+    EnumerateOptions opts;
+    opts.threads = threads;
+    opts.parallel_cutoff = 0;
+    opts.target_morsel_tuples = 4;
+    outs.push_back(MaterializeVisible(rep, opts));
+    outs.push_back(MaterializeVisible(rep, opts, &k));
+    outs.push_back(MaterializeVisible(rep, opts, nullptr));
+  }
+  for (size_t i = 0; i < outs.size(); ++i) {
+    const Relation& out = outs[i];
+    EXPECT_TRUE(testing_util::RowsFollowSortOrder(out)) << "sink " << i;
+    EXPECT_TRUE(testing_util::SameRows(out, reference)) << "sink " << i;
+    EXPECT_TRUE(out == seq) << "sink " << i;
+    EXPECT_EQ(out.sort_order(), seq.sort_order()) << "sink " << i;
+  }
+  // A consumer that needs ascending-column order gets the reference.
+  Relation lex = seq;
+  lex.SortLex();
+  EXPECT_TRUE(lex == reference);
+}
+
+TEST(Kernel, ContractMultiRootForest) {
+  Relation r = RandomRelation({0, 1}, 40, 6, 7);
+  Relation s = RandomRelation({2, 3}, 30, 6, 8);
+  r.SortLex();
+  s.SortLex();
+  std::vector<std::vector<Value>> rows;
+  for (size_t i = 0; i < r.size(); ++i) {
+    for (size_t j = 0; j < s.size(); ++j) {
+      rows.push_back({r.At(i, 0), r.At(i, 1), s.At(j, 0), s.At(j, 1)});
+    }
+  }
+  // Root order (s's tree first) differs from ascending attribute ids.
+  FRep rep = Product(GroundRelation(s, 1), GroundRelation(r, 0));
+  CheckSinkContract(rep, Reference({0, 1, 2, 3}, rows), false);
+}
+
+TEST(Kernel, ContractMultiAttributeClasses) {
+  // A star join: the join class {b, b2} is one node with two visible
+  // attributes, and it roots the tree above a and c.
+  Database db;
+  RelId s = db.CreateRelation("S", {"a", "b"});
+  RelId t = db.CreateRelation("T", {"b2", "c"});
+  Rng rng(31);
+  for (int64_t i = 1; i <= 60; ++i) {
+    db.relation(s).AddTuple({rng.Uniform(1, 20), rng.Uniform(1, 4)});
+    db.relation(t).AddTuple({rng.Uniform(1, 4), rng.Uniform(1, 20)});
+  }
+  Engine engine(&db);
+  Query q;
+  q.rels = {s, t};
+  q.equalities = {{db.Attr("b"), db.Attr("b2")}};
+  FdbResult res = engine.EvaluateFlat(q);
+  ASSERT_FALSE(res.rep.empty());
+  const Relation flat = engine.ExecuteRdb(q).relation;
+  CheckSinkContract(res.rep, flat, false);
+  // The stream is not in ascending-column order: the join class leads.
+  EXPECT_NE(VisibleStreamOrder(res.rep.tree())[0], 0u);
+
+  // Projecting the join class away leaves no hidden node behind.
+  q.projection = AttrSet::Of({db.Attr("a"), db.Attr("c")});
+  FdbResult proj = engine.EvaluateFlat(q);
+  CheckSinkContract(proj.rep, engine.ExecuteRdb(q).relation, false);
+}
+
+TEST(Kernel, ContractDeferredProjectionHidingAnAncestor) {
+  Relation r = RandomRelation({0, 1, 2}, 150, 5, 41);
+  FRep rep = GroundRelation(r, 0);  // path 0 -> 1 -> 2
+  rep.tree().node(rep.tree().FindAttr(0)).visible = {};
+  std::vector<std::vector<Value>> rows;
+  for (size_t i = 0; i < r.size(); ++i) {
+    rows.push_back({r.At(i, 1), r.At(i, 2)});
+  }
+  const Relation reference = Reference({1, 2}, rows);
+  // The stream repeats rows (equal (1, 2) under different 0-values), so
+  // the fallback's dedup has work to do.
+  ASSERT_LT(reference.size(), InterpretedRows(rep, /*visible_only=*/true));
+  CheckSinkContract(rep, reference, true);
+
+  // Hiding only the leaf keeps every kept frame visible: no sort.
+  FRep leaf = GroundRelation(r, 0);
+  leaf.tree().node(leaf.tree().FindAttr(2)).visible = {};
+  rows.clear();
+  for (size_t i = 0; i < r.size(); ++i) {
+    rows.push_back({r.At(i, 0), r.At(i, 1)});
+  }
+  CheckSinkContract(leaf, Reference({0, 1}, rows), false);
+}
+
+TEST(Kernel, ContractEmptyAndNullaryReps) {
+  CheckSinkContract(FRep{PathFTree({0, 1}, 0)}, Relation({0, 1}), false);
+  FRep nullary{FTree{}};
+  nullary.MarkNonEmpty();
+  Relation one({});
+  one.AddTuple(std::vector<Value>{});
+  CheckSinkContract(nullary, one, false);
+}
+
 TEST(Kernel, ServerCompilesOncePerPlanMiss) {
   auto db = testing_util::MakeGroceryDb();
   ServeOptions opts;

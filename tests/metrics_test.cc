@@ -128,6 +128,18 @@ TEST(Histogram, PercentilesAreMonotoneAndBracketed) {
   EXPECT_GE(p99, 2.5e-3);
 }
 
+TEST(Histogram, PercentilesNeverExceedTheMax) {
+  // Every sample sits low in the (5ms, 10ms] bucket: interpolating across
+  // the whole bucket would put p99 near 10 ms, past the observed max.
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.Record(6e-3);
+  Histogram::Snapshot s = h.snapshot();
+  for (double p : {0.5, 0.9, 0.95, 0.99, 1.0}) {
+    EXPECT_LE(s.Percentile(p), s.max_seconds) << "p=" << p;
+  }
+  EXPECT_EQ(s.Percentile(1.0), s.max_seconds);
+}
+
 TEST(MetricsRegistry, GetOrCreateReturnsStableReferences) {
   MetricsRegistry reg;
   Counter& a = reg.GetCounter("fdb_test_total");

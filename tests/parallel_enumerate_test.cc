@@ -234,12 +234,17 @@ TEST(ParallelEnumerate, MaterializeVisibleParallelMatchesSequential) {
   FRep rep = GroundRelation(r, 0);
   rep.tree().node(rep.tree().FindAttr(2)).visible = {};  // deferred proj
   Relation seq = MaterializeVisible(rep);
+  // Rows stay in stream order: the recorded order is the f-tree's.
+  EXPECT_EQ(seq.sort_order(), VisibleStreamOrder(rep.tree()));
+  EXPECT_TRUE(testing_util::RowsFollowSortOrder(seq));
   for (int threads : {2, 8}) {
     EnumerateOptions opts;
     opts.threads = threads;
     opts.parallel_cutoff = 0;
     opts.target_morsel_tuples = 16;
-    EXPECT_TRUE(MaterializeVisible(rep, opts) == seq) << threads;
+    Relation par = MaterializeVisible(rep, opts);
+    EXPECT_TRUE(par == seq) << threads;
+    EXPECT_EQ(par.sort_order(), seq.sort_order()) << threads;
   }
 }
 

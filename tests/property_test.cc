@@ -146,12 +146,13 @@ TEST_P(RestructureInvariance, RandomSwapsPreserveRelation) {
     rep.Validate();
     EXPECT_TRUE(rep.tree().IsNormalized()) << "swap broke normalisation";
     Relation now = MaterializeVisible(rep);
-    ASSERT_TRUE(now == reference) << "swap changed the relation at step "
-                                  << step;
+    ASSERT_TRUE(testing_util::RowsFollowSortOrder(now));
+    ASSERT_TRUE(testing_util::SameRows(now, reference))
+        << "swap changed the relation at step " << step;
   }
   // Normalising at the end changes nothing semantically.
   FRep norm = Normalize(rep);
-  EXPECT_TRUE(MaterializeVisible(norm) == reference);
+  EXPECT_TRUE(testing_util::SameRows(MaterializeVisible(norm), reference));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -55,6 +55,34 @@ TEST(Relation, SortBySelectedColumnWithTieBreak) {
   EXPECT_EQ(r.sort_order()[0], 1u);
 }
 
+TEST(Relation, MarkSortedRecordsTheOrderAndSkipsEqualSorts) {
+  // Sorted under (column 1, column 0), not under ascending columns.
+  Relation r = MakeRel({0, 1}, {{5, 1}, {2, 3}, {9, 3}});
+  const std::vector<Value> rows = r.data();
+  r.MarkSorted({1, 0});
+  EXPECT_EQ(r.sort_order(), (std::vector<size_t>{1, 0}));
+  r.SortByColumns({1});  // the same total order: nothing moves
+  EXPECT_EQ(r.data(), rows);
+  EXPECT_EQ(r.sort_order(), (std::vector<size_t>{1, 0}));
+  r.SortLex();  // another order: really sorts
+  EXPECT_EQ(r.data(), (std::vector<Value>{2, 3, 5, 1, 9, 3}));
+  EXPECT_EQ(r.sort_order(), (std::vector<size_t>{0, 1}));
+  r.AddTuple({1, 1});  // any append forgets the order
+  EXPECT_TRUE(r.sort_order().empty());
+  r.SortLex();
+  EXPECT_EQ(r.At(0, 0), 1);
+  EXPECT_THROW(r.MarkSorted({0}), FdbError);  // not a total order
+}
+
+#ifdef FDB_VALIDATE
+TEST(Relation, MarkSortedRejectsUnsortedRowsUnderValidation) {
+  Relation r = MakeRel({0}, {{2}, {1}});
+  EXPECT_THROW(r.MarkSorted({0}), FdbError);
+  Relation d = MakeRel({0}, {{1}, {1}});
+  EXPECT_THROW(d.MarkSorted({0}), FdbError);  // duplicates break the claim
+}
+#endif
+
 TEST(Relation, LowerBoundAndEqualRange) {
   // Note SortLex removes the duplicate {3}: rows become 1, 3, 5, 9.
   Relation r = MakeRel({0}, {{1}, {3}, {3}, {5}, {9}});

@@ -4,6 +4,7 @@
 #define FDB_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,11 +84,49 @@ inline Query GroceryQ2(const Database& db) {
   return q;
 }
 
-// Materialises an f-representation and a flat relation into comparable
-// sorted forms and checks equality of the represented relations. The
-// schemas must cover the same attribute sets.
+// A sorted copy of `r` under ascending-column order. The copy does not
+// inherit r's recorded sort order, so it is really sorted and deduplicated:
+// a copy smaller than `r` means `r` held duplicate rows.
+inline Relation SortedCopy(const Relation& r) {
+  if (r.arity() == 0) return r;  // at most one (empty) tuple
+  Relation out(r.schema());
+  out.AppendRows(r.data());
+  out.SortLex();
+  return out;
+}
+
+// True iff the rows of `r` are strictly increasing under its recorded
+// sort_order() (trivially true when it records none): sorted and
+// duplicate-free, as the order claims.
+inline bool RowsFollowSortOrder(const Relation& r) {
+  const std::vector<size_t>& order = r.sort_order();
+  if (order.empty()) return true;
+  for (size_t i = 1; i < r.size(); ++i) {
+    std::span<const Value> prev = r.Row(i - 1), cur = r.Row(i);
+    size_t c = 0;
+    while (c < order.size() && prev[order[c]] == cur[order[c]]) ++c;
+    if (c == order.size() || prev[order[c]] > cur[order[c]]) return false;
+  }
+  return true;
+}
+
+// True iff `a` and `b` hold the same set of rows over the same schema,
+// neither with duplicate rows, whatever order each is in.
+inline bool SameRows(const Relation& a, const Relation& b) {
+  const Relation sa = SortedCopy(a), sb = SortedCopy(b);
+  return sa.size() == a.size() && sb.size() == b.size() && sa == sb;
+}
+
+// Checks that an f-representation and a flat relation represent the same
+// relation. The materialised side must be duplicate-free and follow its
+// recorded sort order; it is compared through a sorted copy, which fails
+// the check if sorting dropped a row. The schemas must cover the same
+// attribute sets.
 inline bool SameRelation(const FRep& rep, const Relation& flat) {
-  Relation lhs = MaterializeVisible(rep);
+  const Relation mat = MaterializeVisible(rep);
+  if (!RowsFollowSortOrder(mat)) return false;
+  const Relation lhs = SortedCopy(mat);
+  if (lhs.size() != mat.size()) return false;
   Relation rhs = flat;
   if (lhs.attr_set() != rhs.attr_set()) return false;
   // Reorder rhs columns to match lhs schema.

@@ -15,6 +15,8 @@
 #include "api/engine.h"
 #include "common/trace.h"
 #include "common/types.h"
+#include "core/ground.h"
+#include "core/kernel.h"
 #include "sql/parser.h"
 
 namespace fdb {
@@ -164,6 +166,20 @@ TEST(QueryTrace, RenderFormat) {
             "-- total\n");
 }
 
+TEST(QueryTrace, RenderRowsIn) {
+  QueryTrace t;
+  int s = t.OpenSpan("sort");
+  t.SetRowsIn(s, 16);
+  t.SetRows(s, 1);
+  t.CloseSpan(s, 0.001);
+  EXPECT_TRUE(t.spans()[s].has_rows_in);
+  EXPECT_EQ(t.spans()[s].rows_in, 16u);
+  EXPECT_EQ(MaskTimes(t.Render()),
+            "EXPLAIN ANALYZE\n"
+            "sort  T rows_in=16 rows=1\n"
+            "-- total\n");
+}
+
 // ---------------------------------------------------------------------------
 // Engine integration.
 // ---------------------------------------------------------------------------
@@ -222,6 +238,61 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   }
   EXPECT_LE(child_sum, all[root].seconds);
   EXPECT_GT(trace.TotalSeconds(), 0.0);
+}
+
+TEST(EngineTrace, ProjectedStarMaterialisesWithoutSort) {
+  // Hiding the join attribute of the star leaves its node without a
+  // visible attribute; projection removes it, so the enumerated stream is
+  // already in order and the sink runs no sort.
+  Database db;
+  LoadDemo(&db);
+  Engine engine(&db);
+  QueryTrace trace;
+  {
+    QueryTrace::Scope root(&trace, "query");
+    Query q = engine.Parse(
+        "SELECT oid, warehouse FROM orders, stock WHERE item = sitem");
+    engine.ExecuteTraced(q, &trace);
+  }
+  std::map<std::string, int> spans = IndexByName(trace);
+  ASSERT_TRUE(spans.count("project"));
+  ASSERT_TRUE(spans.count("enumerate"));
+  // Four join rows, but (1, South) comes from both Milk and Cheese.
+  EXPECT_EQ(trace.spans()[spans["enumerate"]].rows, 3u);
+  EXPECT_FALSE(spans.count("sort"));
+}
+
+TEST(EngineTrace, DeferredProjectionMaterialisesWithSort) {
+  // A hidden root above a visible child (deferred projection, which the
+  // engine itself never leaves behind): both values of the hidden node
+  // lead to B = 10, so the stream repeats a row and the sink must sort.
+  Relation r({0, 1});
+  for (const auto& row : {std::vector<Value>{1, 10}, {2, 10}, {2, 20}}) {
+    r.AddTuple(row);
+  }
+  r.SortLex();
+  FTree t;
+  const int hidden = t.NewNode(AttrSet::Of({0}), {}, RelSet::Of({0}),
+                               RelSet::Of({0}));
+  const int shown = t.NewNode(AttrSet::Of({1}), AttrSet::Of({1}),
+                              RelSet::Of({0}), RelSet::Of({0}));
+  t.AttachRoot(hidden);
+  t.AttachChild(hidden, shown);
+  const FRep rep = GroundQuery(t, {&r});
+  const EnumKernel kernel = EnumKernel::Compile(rep.tree(), true);
+  const EnumKernel* const none = nullptr;
+  for (const EnumKernel* k : {&kernel, none}) {
+    QueryTrace trace;
+    const Relation out = MaterializeVisible(rep, EnumerateOptions{}, k, &trace);
+    EXPECT_EQ(out.size(), 2u);
+    std::map<std::string, int> spans = IndexByName(trace);
+    ASSERT_TRUE(spans.count("sort"));
+    const QueryTrace::Span& sort = trace.spans()[spans["sort"]];
+    EXPECT_EQ(sort.parent, spans["enumerate"]);
+    EXPECT_TRUE(sort.has_rows_in);
+    EXPECT_EQ(sort.rows_in, 3u);
+    EXPECT_EQ(sort.rows, 2u);
+  }
 }
 
 TEST(EngineTrace, ExecuteTracedAggregateSpanStructure) {

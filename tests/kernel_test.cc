@@ -428,6 +428,9 @@ TEST(Kernel, ContractMultiRootForest) {
   }
   // Root order (s's tree first) differs from ascending attribute ids.
   FRep rep = Product(GroundRelation(s, 1), GroundRelation(r, 0));
+  ASSERT_EQ(rep.tree().roots().size(), 2u);
+  EXPECT_EQ(VisibleStreamOrder(rep.tree()),
+            (std::vector<size_t>{2, 3, 0, 1}));
   CheckSinkContract(rep, Reference({0, 1, 2, 3}, rows), false);
 }
 
@@ -450,8 +453,12 @@ TEST(Kernel, ContractMultiAttributeClasses) {
   ASSERT_FALSE(res.rep.empty());
   const Relation flat = engine.ExecuteRdb(q).relation;
   CheckSinkContract(res.rep, flat, false);
-  // The stream is not in ascending-column order: the join class leads.
-  EXPECT_NE(VisibleStreamOrder(res.rep.tree())[0], 0u);
+  // The stream is not in ascending-column order: the join class {b, b2}
+  // (columns 1 and 2) leads, b standing for both.
+  const std::vector<size_t> order = VisibleStreamOrder(res.rep.tree());
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order[0], 1u);
+  EXPECT_EQ(order[3], 2u);
 
   // Projecting the join class away leaves no hidden node behind.
   q.projection = AttrSet::Of({db.Attr("a"), db.Attr("c")});
